@@ -14,6 +14,11 @@ cargo test --workspace -q
 echo "==> cargo test --doc"
 cargo test --workspace --doc -q
 
+# The benchmark package is its own workspace, so the steps above do not
+# compile it, yet it drives the store and network APIs directly.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
@@ -127,15 +132,15 @@ fi
 echo "==> shard smoke passed (tables and trace replay identical at 1 and 4 shards)"
 
 # Match-engine A/B smoke: the sorted-segment index must be an exact
-# drop-in for the counting index at rendezvous nodes. A quick-scale
+# drop-in for the store's row scan at rendezvous nodes. A quick-scale
 # figures run has to render byte-identical tables under both engines, and
 # a replayed trace must print byte-identical run-trace output (including
 # the delivered-set fingerprint). A small `probe match` run then
 # differentially checks both engines plus the covering store on a
 # skewed workload — it exits non-zero on any match-set mismatch.
-echo "==> match-engine A/B smoke (figures/cbps --match-engine counting|sorted)"
+echo "==> match-engine A/B smoke (figures/cbps --match-engine scan|sorted)"
 engine_experiments="route fig6 mcast"
-for engine in counting sorted; do
+for engine in scan sorted; do
     # shellcheck disable=SC2086
     ./target/release/figures --scale quick --jobs "$(nproc)" \
         --match-engine "$engine" \
@@ -143,12 +148,12 @@ for engine in counting sorted; do
     ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 \
         --match-engine "$engine" >"$smoke_dir/$engine.rt"
 done
-if ! diff -u "$smoke_dir/counting.tables" "$smoke_dir/sorted.tables"; then
-    echo "FAIL: counting and sorted engines render different tables" >&2
+if ! diff -u "$smoke_dir/scan.tables" "$smoke_dir/sorted.tables"; then
+    echo "FAIL: scan and sorted engines render different tables" >&2
     exit 1
 fi
-if ! diff -u "$smoke_dir/counting.rt" "$smoke_dir/sorted.rt"; then
-    echo "FAIL: counting and sorted engines replay a trace differently" >&2
+if ! diff -u "$smoke_dir/scan.rt" "$smoke_dir/sorted.rt"; then
+    echo "FAIL: scan and sorted engines replay a trace differently" >&2
     exit 1
 fi
 ./target/release/probe match --subs 20000 --seed 7 >/dev/null
@@ -244,5 +249,18 @@ if ! grep -q "^rendezvous splits: [1-9]" "$smoke_dir/rdv-adaptive-1.rt"; then
 fi
 ./target/release/probe rendezvous --nodes 150 >/dev/null
 echo "==> rendezvous smoke passed (fingerprint parity, shard-deterministic splits, hotspot flattened)"
+
+# Benchmark smoke: one short pub-match run through the benchmark binary
+# must check every delivery against its timing-aware oracle and report
+# `"correct":true` on its summary line.
+echo "==> benchmark smoke (perfbench --workload pub-match)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload pub-match --seed 1 --seconds 1 --trace 0 >"$smoke_dir/perfbench.out"
+if ! tail -n 1 "$smoke_dir/perfbench.out" | grep -q '"correct":true'; then
+    echo "FAIL: perfbench pub-match smoke did not report correct:true" >&2
+    tail -n 1 "$smoke_dir/perfbench.out" >&2
+    exit 1
+fi
+echo "==> benchmark smoke passed"
 
 echo "==> tier-1 gate passed"

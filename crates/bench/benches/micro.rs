@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the system's hot components: the three
-//! ak-mappings, the matching index vs brute force, the m-cast split,
-//! greedy routing, and SHA-1 hashing.
+//! ak-mappings, store matching (row scan vs sorted index vs brute force),
+//! the m-cast split, greedy routing, and SHA-1 hashing.
 //!
 //! A self-contained `Instant`-based harness (`harness = false`, no
 //! external benchmark framework): each benchmark is auto-calibrated to a
@@ -10,11 +10,13 @@
 use std::time::{Duration, Instant};
 
 use cbps::{
-    AkMapping, Event, EventSpace, MappingKind, MatchIndex, SortedIndex, SubId, Subscription,
+    AkMapping, Event, EventSpace, MappingKind, MatchEngineKind, StoredSub, SubId, Subscription,
+    SubscriptionStore,
 };
 use cbps_overlay::{
     hash::sha1, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView, RoutingState,
 };
+use cbps_sim::{SimTime, TraceId};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 /// Calibrates the iteration count to a ~100 ms window, measures, and
@@ -81,32 +83,41 @@ fn bench_mappings() {
 
 fn bench_matching() {
     let (space, subs, events) = workload(2000);
-    let mut index = MatchIndex::new(&space);
-    let mut sorted = SortedIndex::new(&space);
-    for (i, s) in subs.iter().enumerate() {
-        index.insert(SubId(i as u64), s.clone());
-        sorted.insert(SubId(i as u64), s.clone());
-    }
+    let keys = KeySpace::new(8);
+    let subscriber = Peer {
+        idx: 0,
+        key: keys.key(1),
+    };
     let mut hits = Vec::new();
-    let mut i = 0;
-    bench("matching-2000-subs/counting-index", || {
-        let e = &events[i % events.len()];
-        i += 1;
-        index.matches_into(e, &mut hits);
-        std::hint::black_box(hits.len());
-    });
-    let mut i = 0;
-    bench("matching-2000-subs/sorted-index", || {
-        let e = &events[i % events.len()];
-        i += 1;
-        sorted.matches_into(e, &mut hits);
-        std::hint::black_box(hits.len());
-    });
+    for engine in [MatchEngineKind::Scan, MatchEngineKind::Sorted] {
+        let mut store = SubscriptionStore::with_options(&space, engine, false);
+        for (i, s) in subs.iter().enumerate() {
+            let stored = StoredSub {
+                sub: s.clone(),
+                subscriber,
+                expires: SimTime::MAX,
+                sk: KeyRangeSet::of_key(keys, keys.key(2)),
+                trace: TraceId::NONE,
+                subgroups: 0,
+            };
+            store.insert(SubId(i as u64), stored, SimTime::ZERO);
+        }
+        let mut i = 0;
+        bench(
+            &format!("matching-2000-subs/{}-store", engine.name()),
+            || {
+                let e = &events[i % events.len()];
+                i += 1;
+                store.match_event_into(e, SimTime::ZERO, &mut hits);
+                std::hint::black_box(hits.len());
+            },
+        );
+    }
     let mut i = 0;
     bench("matching-2000-subs/brute-force", || {
         let e = &events[i % events.len()];
         i += 1;
-        std::hint::black_box(index.matches_brute_force(e));
+        std::hint::black_box(subs.iter().filter(|s| s.matches(e)).count());
     });
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! figures [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry]
 //!         [--jobs N] [--scheduler wheel|heap] [--shards N]
-//!         [--match-engine counting|sorted] [--csv DIR] [--json FILE]
+//!         [--match-engine scan|sorted] [--csv DIR] [--json FILE]
 //!         [--report FILE] [EXPERIMENT...]
 //! ```
 //!
@@ -24,8 +24,8 @@
 //! into `N` event-loop shards run on worker threads with conservative
 //! lookahead (default: 1, the classic single-threaded loop); delivered
 //! sets and tables stay identical at any shard count, which ci.sh also
-//! verifies. `--match-engine counting|sorted` selects the rendezvous
-//! matching engine (default: counting); the engines return identical
+//! verifies. `--match-engine scan|sorted` selects the rendezvous
+//! matching engine (default: scan); the engines return identical
 //! match sets — only matching cost and memory layout change — so tables
 //! are byte-identical either way, a third invariant ci.sh checks.
 //! `--rendezvous static|adaptive` selects the rendezvous policy
@@ -113,7 +113,7 @@ fn main() {
             "--match-engine" => match args.next().as_deref().and_then(MatchEngineKind::parse) {
                 Some(kind) => runner::set_match_engine(kind),
                 None => {
-                    eprintln!("--match-engine expects counting|sorted");
+                    eprintln!("--match-engine expects scan|sorted");
                     std::process::exit(2);
                 }
             },
@@ -169,7 +169,7 @@ fn main() {
                 println!(
                     "usage: figures [--scale quick|paper|large] [--nodes N] \
                      [--overlay chord|pastry] [--jobs N] [--scheduler wheel|heap] \
-                     [--shards N] [--match-engine counting|sorted] [--pool reuse|fresh] \
+                     [--shards N] [--match-engine scan|sorted] [--pool reuse|fresh] \
                      [--rendezvous static|adaptive] \
                      [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
                      experiments: {} (default: all)",

@@ -1,10 +1,10 @@
 //! Focused hot-path probes for the two structures this crate leans on:
-//! the event scheduler and the matching index.
+//! the event scheduler and the subscription store.
 //!
 //! ```text
 //! probe sched [--ops N] [--seed S]      heap vs wheel push/pop throughput
 //! probe match [--subs N] [--seed S] [--json FILE]
-//!                                       counting vs sorted engine sweep
+//!                                       scan vs sorted store sweep
 //! probe overlay [--nodes N] [--seed S]  chord vs pastry end-to-end profile
 //! probe shard [--nodes N] [--seed S] [--json FILE]
 //!                                       sharded-engine scaling sweep
@@ -23,14 +23,14 @@
 //! and cross-checks a running checksum of the pop order — a mismatch means
 //! the wheel broke the `(time, seq)` total order and the probe exits
 //! non-zero. `probe match` sweeps stored-subscription populations up to
-//! `--subs` (default 10^6) through both matching engines — the counting
-//! index and the sorted index — over the Zipf-skewed paper workload,
-//! reports each engine's matched events/sec and build time, and builds the
-//! same population through the covering `SubscriptionStore` to report how
-//! many physical entries covering leaves. Match sets are cross-checked
-//! event by event between the engines (and against the covering store), so
-//! a disagreement exits non-zero; with `--json FILE` the sweep is written
-//! as a small JSON document. `probe overlay` runs
+//! `--subs` (default 10^6) through the `SubscriptionStore` under both
+//! matching engines — the row scan and the sorted index — over the
+//! Zipf-skewed paper workload, reports each engine's matched events/sec
+//! and build time, and builds the same population through the sorted
+//! store with covering to report how many physical entries covering
+//! leaves. Match sets are cross-checked event by event between the
+//! stores, so a disagreement exits non-zero; with `--json FILE` the sweep
+//! is written as a small JSON document. `probe overlay` runs
 //! the identical pub/sub workload over the Chord and the Pastry substrate
 //! through the one generic deployment façade and reports each substrate's
 //! simulator throughput, one-hop message total and per-request hop costs;
@@ -74,7 +74,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use cbps::{Event, EventSpace, MatchIndex, SubId, Subscription};
+use cbps::{Event, EventSpace, SubId, Subscription};
 use cbps_rng::Rng;
 use cbps_sim::{PoolMode, TimingWheel};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
@@ -246,22 +246,33 @@ fn probe_sched(ops: usize, seed: u64) -> Result<(), String> {
 /// One sweep point of the match probe.
 struct MatchPoint {
     subs: usize,
-    counting_build_secs: f64,
+    scan_build_secs: f64,
     sorted_build_secs: f64,
-    counting_secs: f64,
+    scan_secs: f64,
     sorted_secs: f64,
     matched: u64,
+    /// Wall seconds per expiry-churn step (see [`match_point`]).
+    scan_churn_secs: f64,
+    sorted_churn_secs: f64,
     hits: u64,
     physical: usize,
     covering_build_secs: f64,
 }
 
-/// Measures both engines (and the covering store) over `n` stored
-/// subscriptions of the Zipf-skewed paper workload. Match sets are
-/// cross-checked event by event before any timing, so a disagreement is a
-/// hard error, never a skewed number.
+/// Measures the rendezvous store under both engines (and the sorted
+/// engine behind covering) over `n` stored subscriptions of the
+/// Zipf-skewed paper workload. The stores are built one at a time, so the
+/// probe holds one population at once. Every store's match sets are
+/// cross-checked event by event against the scan's before any timing, so
+/// a disagreement is a hard error, never a skewed number.
+///
+/// Row `i` lapses at `i + 1` ms, so every row has its own expiry. After
+/// the match timing, the scan and sorted stores run expiry churn: each
+/// step advances the clock one lease, so one row lapses, and inserts one
+/// fresh row and matches one event at that instant — the steady state of
+/// a store whose subscriptions expire at distinct times.
 fn match_point(n: usize, seed: u64) -> Result<MatchPoint, String> {
-    use cbps::{MatchEngineKind, SortedIndex, StoredSub, SubscriptionStore};
+    use cbps::{MatchEngineKind, StoredSub, SubscriptionStore};
     use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
     use cbps_sim::{SimTime, TraceId};
 
@@ -286,117 +297,115 @@ fn match_point(n: usize, seed: u64) -> Result<MatchPoint, String> {
     while events.len() < 256 {
         events.push(gen.gen_random_event());
     }
-
-    let started = Instant::now();
-    let mut counting = MatchIndex::new(&space);
-    for (i, sub) in stored.iter().enumerate() {
-        counting.insert(SubId(i as u64), sub.clone());
-    }
-    let counting_build_secs = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let mut sorted = SortedIndex::new(&space);
-    for (i, sub) in stored.iter().enumerate() {
-        sorted.insert(SubId(i as u64), sub.clone());
-    }
-    let sorted_build_secs = started.elapsed().as_secs_f64();
-
-    // Differential pass: the two engines must agree on every probe event.
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    for (i, event) in events.iter().enumerate() {
-        counting.matches_into(event, &mut a);
-        sorted.matches_into(event, &mut b);
-        if a != b {
-            return Err(format!(
-                "engines disagree at {n} subs on probe event {i}: \
-                 counting {} hits != sorted {} hits",
-                a.len(),
-                b.len()
-            ));
-        }
-    }
-
-    // Timed passes, identical loops over the same events.
-    let rounds = (2_000_000 / n).max(1);
-    let mut out = Vec::new();
-    let mut hits = 0u64;
-    let started = Instant::now();
-    for _ in 0..rounds {
-        for event in &events {
-            counting.matches_into(event, &mut out);
-            hits += out.len() as u64;
-        }
-    }
-    let counting_secs = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    for _ in 0..rounds {
-        for event in &events {
-            sorted.matches_into(event, &mut out);
-        }
-    }
-    let sorted_secs = started.elapsed().as_secs_f64();
-    let matched = rounds as u64 * events.len() as u64;
-
-    // Covering: the same population through the rendezvous store, which
-    // collapses covered subscriptions onto shared physical entries.
     let keys = KeySpace::new(8);
     let subscriber = Peer {
         idx: 0,
         key: keys.key(1),
     };
     let sk = KeyRangeSet::of_key(keys, keys.key(2));
-    let mut store = SubscriptionStore::with_options(&space, MatchEngineKind::Sorted, true);
-    let items: Vec<(SubId, StoredSub)> = stored
-        .iter()
-        .enumerate()
-        .map(|(i, sub)| {
-            (
-                SubId(i as u64),
-                StoredSub {
-                    sub: sub.clone(),
-                    subscriber,
-                    expires: SimTime::MAX,
-                    sk: sk.clone(),
-                    trace: TraceId::NONE,
-                    subgroups: 0,
-                },
-            )
-        })
-        .collect();
-    let started = Instant::now();
-    store.insert_bulk(items, SimTime::ZERO);
-    let covering_build_secs = started.elapsed().as_secs_f64();
-    // Spot-check: the covering store must deliver the raw engine's sets.
-    let mut store_out = Vec::new();
-    for (i, event) in events.iter().take(8).enumerate() {
-        counting.matches_into(event, &mut a);
-        store.match_event_into(event, SimTime::ZERO, &mut store_out);
-        let got: Vec<SubId> = store_out.iter().map(|(id, _)| *id).collect();
-        if got != a {
-            return Err(format!(
-                "covering store disagrees with raw engine at {n} subs on probe event {i}: \
-                 {} hits != {} hits",
-                got.len(),
-                a.len()
-            ));
+    let rounds = (2_000_000 / n).max(1);
+    let churn_steps = (2_000_000 / n).clamp(64, 2000);
+    let lease = |i: usize| SimTime::from_millis(i as u64 + 1);
+    let record = |i: usize| StoredSub {
+        sub: stored[i % n].clone(),
+        subscriber,
+        expires: lease(i),
+        sk: sk.clone(),
+        trace: TraceId::NONE,
+        subgroups: 0,
+    };
+    let mut reference: Vec<Vec<SubId>> = Vec::new();
+    let mut out = Vec::new();
+    // Builds one store, checks it against the reference match sets (the
+    // first store built becomes the reference), and times `rounds` passes
+    // over the probe events plus the expiry churn when asked. Returns
+    // (build secs, match secs, churn secs per step, hits, physical entries).
+    let mut measure = |engine: MatchEngineKind,
+                       covering: bool,
+                       timed: bool|
+     -> Result<(f64, f64, f64, u64, usize), String> {
+        let items: Vec<(SubId, StoredSub)> = (0..n).map(|i| (SubId(i as u64), record(i))).collect();
+        let mut store = SubscriptionStore::with_options(&space, engine, covering);
+        let started = Instant::now();
+        store.insert_bulk(items, SimTime::ZERO);
+        let build_secs = started.elapsed().as_secs_f64();
+        for (i, event) in events.iter().enumerate() {
+            store.match_event_into(event, SimTime::ZERO, &mut out);
+            let got: Vec<SubId> = out.iter().map(|(id, _)| *id).collect();
+            match reference.get(i) {
+                None => reference.push(got),
+                Some(want) if *want != got => {
+                    return Err(format!(
+                        "{} store (covering {covering}) disagrees with the scan at {n} subs \
+                         on probe event {i}: {} hits != {} hits",
+                        engine.name(),
+                        got.len(),
+                        want.len()
+                    ))
+                }
+                Some(_) => {}
+            }
         }
-    }
+        let (mut match_secs, mut churn_secs, mut hits) = (0.0, 0.0, 0u64);
+        if timed {
+            let started = Instant::now();
+            for _ in 0..rounds {
+                for event in &events {
+                    store.match_event_into(event, SimTime::ZERO, &mut out);
+                    hits += out.len() as u64;
+                }
+            }
+            match_secs = started.elapsed().as_secs_f64();
+            let fresh: Vec<StoredSub> = (n..n + churn_steps).map(record).collect();
+            let started = Instant::now();
+            for (step, rec) in fresh.into_iter().enumerate() {
+                let now = lease(step);
+                store.insert(SubId((n + step) as u64), rec, now);
+                store.match_event_into(&events[step % events.len()], now, &mut out);
+            }
+            churn_secs = started.elapsed().as_secs_f64() / churn_steps as f64;
+            if store.len() != n {
+                return Err(format!(
+                    "{} store holds {} rows after churn, not {n}",
+                    engine.name(),
+                    store.len()
+                ));
+            }
+        }
+        Ok((
+            build_secs,
+            match_secs,
+            churn_secs,
+            hits,
+            store.physical_len(),
+        ))
+    };
+    let (scan_build_secs, scan_secs, scan_churn_secs, hits, _) =
+        measure(MatchEngineKind::Scan, false, true)?;
+    let (sorted_build_secs, sorted_secs, sorted_churn_secs, _, _) =
+        measure(MatchEngineKind::Sorted, false, true)?;
+    // Covering: the same population behind the covering table, which
+    // collapses covered subscriptions onto shared physical entries.
+    let (covering_build_secs, _, _, _, physical) = measure(MatchEngineKind::Sorted, true, false)?;
 
     Ok(MatchPoint {
         subs: n,
-        counting_build_secs,
+        scan_build_secs,
         sorted_build_secs,
-        counting_secs,
+        scan_secs,
         sorted_secs,
-        matched,
+        matched: rounds as u64 * events.len() as u64,
+        scan_churn_secs,
+        sorted_churn_secs,
         hits,
-        physical: store.physical_len(),
+        physical,
         covering_build_secs,
     })
 }
 
 fn probe_match(subs: usize, seed: u64, json_out: Option<&str>) -> Result<(), String> {
     println!(
-        "match probe: counting vs sorted engine, covering store, \
+        "match probe: scan vs sorted store, covering store, \
          Zipf paper workload, seed {seed}"
     );
     let mut sweep: Vec<usize> = [subs / 10, subs / 3, subs]
@@ -410,28 +419,35 @@ fn probe_match(subs: usize, seed: u64, json_out: Option<&str>) -> Result<(), Str
     }
 
     for p in &points {
-        let counting_evs = p.matched as f64 / p.counting_secs.max(1e-9);
+        let scan_evs = p.matched as f64 / p.scan_secs.max(1e-9);
         let sorted_evs = p.matched as f64 / p.sorted_secs.max(1e-9);
         println!(
-            "  subs {:>8}  counting {:>9.0} events/sec  sorted {:>9.0} events/sec  \
+            "  subs {:>8}  scan {:>9.0} events/sec  sorted {:>9.0} events/sec  \
              sorted speedup {:.2}x  ({} events, {} hits)",
             p.subs,
-            counting_evs,
+            scan_evs,
             sorted_evs,
-            sorted_evs / counting_evs.max(1e-9),
+            sorted_evs / scan_evs.max(1e-9),
             p.matched,
             p.hits,
         );
         println!(
-            "  {:>13} build: counting {:.2}s, sorted {:.2}s; covering store: \
+            "  {:>13} build: scan {:.2}s, sorted {:.2}s; covering store: \
              {} physical entries for {} subscriptions ({:.1}% saved, built in {:.2}s)",
             "",
-            p.counting_build_secs,
+            p.scan_build_secs,
             p.sorted_build_secs,
             p.physical,
             p.subs,
             100.0 * (1.0 - p.physical as f64 / p.subs as f64),
             p.covering_build_secs,
+        );
+        println!(
+            "  {:>13} expiry churn (one lapse + insert + match per step): \
+             scan {:.1} us/step, sorted {:.1} us/step",
+            "",
+            p.scan_churn_secs * 1e6,
+            p.sorted_churn_secs * 1e6,
         );
     }
     if let Some(path) = json_out {
@@ -443,26 +459,29 @@ fn probe_match(subs: usize, seed: u64, json_out: Option<&str>) -> Result<(), Str
         doc.push_str(&format!("  \"seed\": {seed},\n"));
         doc.push_str("  \"results\": [\n");
         for (i, p) in points.iter().enumerate() {
-            let counting_evs = p.matched as f64 / p.counting_secs.max(1e-9);
+            let scan_evs = p.matched as f64 / p.scan_secs.max(1e-9);
             let sorted_evs = p.matched as f64 / p.sorted_secs.max(1e-9);
             doc.push_str(&format!(
-                "    {{\"subs\": {}, \"counting_events_per_sec\": {:.0}, \
+                "    {{\"subs\": {}, \"scan_events_per_sec\": {:.0}, \
                  \"sorted_events_per_sec\": {:.0}, \"sorted_speedup\": {:.2}, \
                  \"matched_events\": {}, \"hits\": {}, \
-                 \"counting_build_secs\": {:.3}, \"sorted_build_secs\": {:.3}, \
+                 \"scan_build_secs\": {:.3}, \"sorted_build_secs\": {:.3}, \
                  \"covering_physical_entries\": {}, \"covering_saved_pct\": {:.1}, \
-                 \"covering_build_secs\": {:.3}}}{}\n",
+                 \"covering_build_secs\": {:.3}, \"scan_churn_us_per_step\": {:.1}, \
+                 \"sorted_churn_us_per_step\": {:.1}}}{}\n",
                 p.subs,
-                counting_evs,
+                scan_evs,
                 sorted_evs,
-                sorted_evs / counting_evs.max(1e-9),
+                sorted_evs / scan_evs.max(1e-9),
                 p.matched,
                 p.hits,
-                p.counting_build_secs,
+                p.scan_build_secs,
                 p.sorted_build_secs,
                 p.physical,
                 100.0 * (1.0 - p.physical as f64 / p.subs as f64),
                 p.covering_build_secs,
+                p.scan_churn_secs * 1e6,
+                p.sorted_churn_secs * 1e6,
                 if i + 1 == points.len() { "" } else { "," },
             ));
         }
@@ -472,11 +491,11 @@ fn probe_match(subs: usize, seed: u64, json_out: Option<&str>) -> Result<(), Str
     }
     let last = points.last().expect("sweep is never empty");
     println!(
-        "  at {} subs the sorted engine is {:.2}x the counting engine; \
+        "  at {} subs the sorted store is {:.2}x the scan; \
          covering keeps {} physical entries ({:.1}% saved)",
         last.subs,
         (last.matched as f64 / last.sorted_secs.max(1e-9))
-            / (last.matched as f64 / last.counting_secs.max(1e-9)).max(1e-9),
+            / (last.matched as f64 / last.scan_secs.max(1e-9)).max(1e-9),
         last.physical,
         100.0 * (1.0 - last.physical as f64 / last.subs as f64),
     );
@@ -960,7 +979,7 @@ fn probe_alloc(
             observability: "off".to_owned(),
             scheduler: "wheel".to_owned(),
             shards: 1,
-            match_engine: "counting".to_owned(),
+            match_engine: "scan".to_owned(),
             rendezvous: "static".to_owned(),
             overlay: "chord".to_owned(),
             experiments: vec![ExperimentReport {

@@ -236,7 +236,7 @@ pub struct RunReport {
     pub scheduler: String,
     /// Event-loop shard count the networks ran with (1 = single-threaded).
     pub shards: usize,
-    /// Matching engine rendezvous nodes ran (`counting` or `sorted`).
+    /// Matching engine rendezvous nodes ran (`scan` or `sorted`).
     pub match_engine: String,
     /// Rendezvous policy the networks ran (`static` or `adaptive`).
     pub rendezvous: String,
@@ -471,7 +471,7 @@ mod tests {
             observability: "full".into(),
             scheduler: "wheel".into(),
             shards: 1,
-            match_engine: "counting".into(),
+            match_engine: "scan".into(),
             rendezvous: "adaptive".into(),
             overlay: "chord".into(),
             experiments: vec![
@@ -505,7 +505,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"cbps-report/v2\""));
         assert!(json.contains("\"overlay\": \"chord\""));
         assert!(json.contains("\"shards\": 1"));
-        assert!(json.contains("\"match_engine\": \"counting\""));
+        assert!(json.contains("\"match_engine\": \"scan\""));
         // v1 fields keep their names so old baselines stay comparable.
         assert!(json.contains("\"wall_secs\": 1.500"));
         assert!(json.contains("\"events_per_sec\": 2000"));

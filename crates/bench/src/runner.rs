@@ -35,7 +35,7 @@ static SCHEDULER: AtomicU8 = AtomicU8::new(0);
 /// single-threaded engine).
 static SHARDS: AtomicUsize = AtomicUsize::new(1);
 /// Matching engine every rendezvous node of a built network runs
-/// (0 = counting index, 1 = sorted index).
+/// (0 = row scan, 1 = sorted index).
 static MATCH_ENGINE: AtomicU8 = AtomicU8::new(0);
 /// Event-pool recycling policy applied to every built network
 /// (0 = reuse, 1 = fresh).
@@ -246,7 +246,7 @@ pub fn set_match_engine(kind: MatchEngineKind) {
 pub fn match_engine() -> MatchEngineKind {
     match MATCH_ENGINE.load(Ordering::Relaxed) {
         1 => MatchEngineKind::Sorted,
-        _ => MatchEngineKind::Counting,
+        _ => MatchEngineKind::Scan,
     }
 }
 

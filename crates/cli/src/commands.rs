@@ -108,7 +108,7 @@ fn parse_scheduler(s: &str) -> Result<SchedulerKind, ArgError> {
 
 fn parse_match_engine(s: &str) -> Result<MatchEngineKind, ArgError> {
     MatchEngineKind::parse(s)
-        .ok_or_else(|| ArgError(format!("unknown match engine {s:?} (counting|sorted)")))
+        .ok_or_else(|| ArgError(format!("unknown match engine {s:?} (scan|sorted)")))
 }
 
 fn parse_pool(s: &str) -> Result<PoolMode, ArgError> {
@@ -181,7 +181,7 @@ pub fn run_trace(args: &Args) -> Outcome {
     let replication: usize = args.get_or("replication", 0)?;
     let scheduler = parse_scheduler(args.get("scheduler").unwrap_or("wheel"))?;
     let shards: usize = args.get_or("shards", 1)?;
-    let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
+    let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("scan"))?;
     let pool = parse_pool(args.get("pool").unwrap_or("reuse"))?;
     let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
     let overlay = parse_overlay(args)?;
@@ -301,7 +301,7 @@ pub fn stats(args: &Args) -> Outcome {
     let replication: usize = args.get_or("replication", 0)?;
     let scheduler = parse_scheduler(args.get("scheduler").unwrap_or("wheel"))?;
     let shards: usize = args.get_or("shards", 1)?;
-    let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
+    let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("scan"))?;
     let pool = parse_pool(args.get("pool").unwrap_or("reuse"))?;
     let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
     let overlay = parse_overlay(args)?;
@@ -477,7 +477,7 @@ pub fn experiment(args: &Args) -> Outcome {
     cbps_bench::runner::set_jobs(jobs);
     cbps_bench::runner::set_shards(args.get_or("shards", 1)?);
     cbps_bench::runner::set_match_engine(parse_match_engine(
-        args.get("match-engine").unwrap_or("counting"),
+        args.get("match-engine").unwrap_or("scan"),
     )?);
     cbps_bench::runner::set_pool(parse_pool(args.get("pool").unwrap_or("reuse"))?);
     cbps_bench::runner::set_backend(parse_overlay(args)?);

@@ -81,10 +81,11 @@ pub struct PubSubConfig {
     /// paper uses expiration to "simulate possible requests for
     /// unsubscriptions"; refresh turns that into a lease protocol).
     pub lease_refresh: bool,
-    /// Subscription covering at rendezvous nodes: subscriptions covered by
-    /// (or covering) already-stored ones share one physical matching-engine
-    /// entry. On by default — it changes memory and matching cost only,
-    /// never the delivered sets (see [`SubscriptionStore`]).
+    /// Subscription covering at rendezvous nodes running the sorted match
+    /// engine: subscriptions covered by (or covering) already-stored ones
+    /// share one physical index entry. On by default; the default row
+    /// scan ignores it. It changes memory and matching cost only, never
+    /// the delivered sets (see [`SubscriptionStore`]).
     ///
     /// [`SubscriptionStore`]: crate::SubscriptionStore
     pub covering: bool,

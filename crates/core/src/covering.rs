@@ -15,8 +15,13 @@
 //! against their own constraints. A representative may be *broader* than
 //! every live member (its creator unsubscribed first) — that costs a
 //! verification, never a wrong delivery. All per-id bookkeeping
-//! (`len`/`peak`/expiry/refresh) stays in the store's logical `meta` map,
-//! untouched by grouping.
+//! (`len`/`peak`/expiry/refresh) stays in the store's row table, untouched
+//! by grouping.
+//!
+//! Covering runs in front of the [`SortedIndex`] only: the default row
+//! scan stores one row per subscription, because at paper-scale store
+//! sizes covering merges almost nothing and its bookkeeping costs more
+//! than the rows it saves.
 //!
 //! Detection is exact for "covered by an existing representative": a
 //! representative covering σ must match σ's *lower-corner event* (σ's
@@ -28,11 +33,9 @@
 //! correctness.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
-use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
-use crate::store::StoredSub;
+use crate::sorted::SortedIndex;
 use crate::subscription::{SubId, Subscription};
 use cbps_overlay::InlineVec;
 
@@ -57,8 +60,7 @@ struct Group {
 pub(crate) struct CoveringTable {
     groups: HashMap<SubId, Group>,
     /// Logical id → (physical id, position in the member list). Positions
-    /// are fixed up on `swap_remove`, mirroring the counting index's
-    /// bucket-position records, so un-covering is O(1).
+    /// are fixed up on `swap_remove`, so un-covering is O(1).
     member_of: HashMap<SubId, (SubId, u32)>,
     /// Exact-duplicate fast path: shape → (physical id, member refcount).
     by_shape: HashMap<Subscription, (SubId, u32)>,
@@ -88,16 +90,16 @@ impl CoveringTable {
 
     /// Registers a *fresh* logical subscription, inserting a physical
     /// entry into `engine` only when no existing group can represent it.
-    pub(crate) fn insert(&mut self, engine: &mut AnyMatchEngine, id: SubId, sub: &Subscription) {
+    pub(crate) fn insert(&mut self, engine: &mut SortedIndex, id: SubId, sub: &Subscription) {
         if let Some(&(phys, _)) = self.by_shape.get(sub) {
             self.join(phys, id, sub);
             return;
         }
         // Covered by an existing representative? Every true cover matches
         // the lower-corner event, so an engine query over it enumerates all
-        // candidates; `find_match` stops at the first one that actually
-        // covers. Which covering group is picked when several qualify is
-        // engine-specific (but deterministic) — group membership never
+        // candidates; `find_match_where` stops at the first one that
+        // actually covers. Which covering group is picked when several
+        // qualify is deterministic — group membership never
         // affects covers, the probe order, or delivered sets, so any
         // covering group is equally correct.
         let corner = Event::new_unchecked(
@@ -107,7 +109,7 @@ impl CoveringTable {
                 .collect(),
         );
         let groups = &self.groups;
-        let cover = engine.find_match(&corner, &mut |phys| groups[&phys].cover.covers(sub));
+        let cover = engine.find_match_where(&corner, &mut |phys| groups[&phys].cover.covers(sub));
         if let Some(phys) = cover {
             self.join(phys, id, sub);
             return;
@@ -169,7 +171,7 @@ impl CoveringTable {
     /// sequence of decision states as a one-at-a-time build.
     pub(crate) fn insert_bulk(
         &mut self,
-        engine: &mut AnyMatchEngine,
+        engine: &mut SortedIndex,
         items: &[(SubId, &Subscription)],
     ) {
         self.member_of.reserve(items.len());
@@ -223,7 +225,7 @@ impl CoveringTable {
 
     /// Removes a logical subscription; drops the group's physical entry
     /// when its last member leaves.
-    pub(crate) fn remove(&mut self, engine: &mut AnyMatchEngine, id: SubId, sub: &Subscription) {
+    pub(crate) fn remove(&mut self, engine: &mut SortedIndex, id: SubId, sub: &Subscription) {
         let (phys, pos) = self
             .member_of
             .remove(&id)
@@ -270,12 +272,13 @@ impl CoveringTable {
     }
 
     /// Expands the engine's physical hits into the exact logical match
-    /// set, re-verifying members narrower than their representative.
+    /// set, re-verifying members narrower than their representative with
+    /// `verify` (which tests a logical id's own subscription).
     pub(crate) fn matches_into(
         &mut self,
-        engine: &mut AnyMatchEngine,
-        meta: &HashMap<SubId, Arc<StoredSub>>,
+        engine: &SortedIndex,
         event: &Event,
+        verify: impl Fn(SubId) -> bool,
         out: &mut Vec<SubId>,
     ) {
         let mut hits = std::mem::take(&mut self.scratch);
@@ -283,7 +286,7 @@ impl CoveringTable {
         out.clear();
         for phys in &hits {
             for &(id, exact) in self.groups[phys].members.as_slice() {
-                if exact || meta[&id].sub.matches(event) {
+                if exact || verify(id) {
                     out.push(id);
                 }
             }
@@ -312,7 +315,7 @@ impl CoveringTable {
     }
 
     /// Replaces a group's representative with the broader `cover`.
-    fn widen(&mut self, engine: &mut AnyMatchEngine, phys: SubId, cover: &Subscription) {
+    fn widen(&mut self, engine: &mut SortedIndex, phys: SubId, cover: &Subscription) {
         let g = self.groups.get_mut(&phys).expect("widening a live group");
         let old_first = g
             .cover

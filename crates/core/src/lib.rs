@@ -11,8 +11,10 @@
 //! * the three **stateless ak-mappings** of §4.2 ([`AkMapping`]):
 //!   Attribute-Split, Key Space-Split and Selective-Attribute — all
 //!   satisfying the *mapping intersection rule*;
-//! * rendezvous-node machinery: a counting [`MatchIndex`], an expiring
-//!   [`SubscriptionStore`], notification dispatch with the **buffering**
+//! * rendezvous-node machinery: an expiring row-table
+//!   [`SubscriptionStore`] that matches by scanning its rows (or, for
+//!   10^4–10^6-row stores, through a [`SortedIndex`]), notification
+//!   dispatch with the **buffering**
 //!   and **collecting** optimizations of §4.3.2, and **mapping
 //!   discretization** (§4.3.3);
 //! * propagation over the overlay's unicast, the native `m-cast`
@@ -49,10 +51,8 @@
 mod backend;
 mod config;
 mod covering;
-mod engine;
 mod error;
 mod event;
-mod index;
 mod mapping;
 mod msg;
 mod node;
@@ -67,10 +67,8 @@ mod system;
 pub use backend::{BackendCtx, ChordBackend, ChordPubSub, OverlayBackend};
 pub use cbps_sim::MatchEngineKind;
 pub use config::{deployment_key_space, NotifyMode, Primitive, PubSubConfig};
-pub use engine::{AnyMatchEngine, MatchEngine};
 pub use error::{ConfigError, PubSubError};
 pub use event::{Event, EventId};
-pub use index::MatchIndex;
 pub use mapping::{AkMapping, EventKeyChoice, MappingKind};
 pub use msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 pub use node::PubSubNode;

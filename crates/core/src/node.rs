@@ -307,12 +307,14 @@ impl PubSubNode {
 
     fn handle_store(&mut self, id: SubId, stored: StoredSub, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
-        let fresh = self.store.insert(id, stored.clone(), svc.now());
+        let replication = self.cfg.replication;
+        // Only replication needs the record after the store takes it.
+        let replica = (replication > 0).then(|| stored.clone());
+        let fresh = self.store.insert(id, stored, svc.now());
         svc.obs_sample("store.size", self.store.len() as u64);
         if fresh {
             svc.metrics().add("store.insert", 1);
-            let replication = self.cfg.replication;
-            if replication > 0 {
+            if let Some(stored) = replica {
                 let succs: Vec<Peer> = svc.successors().iter().take(replication).copied().collect();
                 for peer in succs {
                     svc.direct(
@@ -349,13 +351,14 @@ impl PubSubNode {
         self.replicas.remove(&id);
     }
 
-    /// Pre-sizes the rendezvous-side containers for a bulk installation
-    /// of roughly `expected_stored` subscriptions (see
-    /// [`SubscriptionStore::reserve`]). Deployment builders call this
-    /// with a per-node estimate derived from the workload totals before
-    /// replaying a trace; behavior is identical with or without it.
+    /// Pre-sizes the rendezvous-side match buffer for a bulk installation
+    /// of roughly `expected_stored` subscriptions. Deployment builders
+    /// call this with a per-node estimate derived from the workload totals
+    /// before replaying a trace; behavior is identical with or without it.
+    /// The store's rows are left to grow by doubling: pre-sizing every
+    /// node's columns costs more set-up time in page faults than the
+    /// handful of reallocations it would save.
     pub fn reserve_workload(&mut self, expected_stored: usize) {
-        self.store.reserve(expected_stored);
         if self.match_buf.capacity() < expected_stored {
             self.match_buf
                 .reserve(expected_stored - self.match_buf.len());

@@ -1,9 +1,9 @@
 //! A flat, cache-friendly matching engine for very large stores.
 //!
-//! [`MatchIndex`](crate::MatchIndex) (the counting algorithm) walks
-//! per-dimension bucket lists — `Vec<Vec<Vec<u32>>>` — whose pointer
-//! chasing dominates once a rendezvous node holds 10^5–10^6 subscriptions.
-//! [`SortedIndex`] replaces it with struct-of-arrays storage:
+//! The store's default engine scans every row per event, which is the
+//! fastest choice for the tens to thousands of rows a paper-scale
+//! rendezvous node holds but linear in the store size. Once a node holds
+//! 10^4–10^6 subscriptions, [`SortedIndex`] visits only candidate rows:
 //!
 //! * **Row store.** Every subscription is one *row* in flat parallel
 //!   arrays (`lo`/`hi` per dimension, a constrained-dimension bitmask, the
@@ -21,14 +21,13 @@
 //!   never an O(n) in-place shift.
 //! * **Deferred cleanup.** `remove` only tombstones a row; merges and an
 //!   occasional compaction sweep reclaim dead rows in bulk, keeping
-//!   unsubscription O(1) (the counting index's eager `swap_remove` is its
-//!   insert-time mirror image).
+//!   unsubscription O(1).
 //!
 //! The engine is limited to event spaces of at most 64 dimensions (the
 //! constrained-dimension bitmask); deployments select it through
 //! [`MatchEngineKind`](cbps_sim::MatchEngineKind), which validates that
-//! bound. Match sets are identical to the counting index by construction
-//! and checked by the differential suites.
+//! bound. Match sets are identical to the row scan by construction and
+//! checked by the differential suites.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -4,17 +4,32 @@
 //! requests (§5.1); the store purges them lazily and tracks the peak number
 //! of simultaneously live subscriptions — the "maximum number of
 //! subscriptions per node" metric of Figures 6 and 8.
+//!
+//! The store is one contiguous row table: parallel `ids`, `expires` and
+//! `recs` columns, a row-major `bounds` column of `(lo, hi)` pairs (a
+//! wildcard is `(0, u64::MAX)`), and an id → row map. Insert appends a
+//! row; removal and expiry `swap_remove` it and re-point the moved row's
+//! map entry. Paper-scale stores hold tens to hundreds of rows, so a
+//! sequential scan of `bounds` is the match engine
+//! ([`MatchEngineKind::Scan`]). [`MatchEngineKind::Sorted`] keeps the same
+//! rows for records but matches through a [`SortedIndex`] (optionally
+//! behind subscription covering), for 10^4–10^6-row stores.
+//!
+//! Expiry runs only once a cached watermark (the earliest live expiry) has
+//! passed. The scan then sweeps the `expires` column, O(rows) per expiry
+//! instant, which is no worse than its O(rows) match. The sorted engine's
+//! match is sublinear, so it keeps its finite expiries in order as well
+//! and pops only the lapsed rows.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use cbps_overlay::{KeyRangeSet, Peer};
 use cbps_sim::{MatchEngineKind, SimTime, TraceId};
 
 use crate::covering::CoveringTable;
-use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
+use crate::sorted::SortedIndex;
 use crate::space::EventSpace;
 use crate::subscription::{SubId, Subscription};
 
@@ -77,70 +92,137 @@ pub struct StoredSub {
 /// assert_eq!(store.peak(), 1);
 /// # Ok::<(), cbps::PubSubError>(())
 /// ```
+
 #[derive(Clone, Debug)]
 pub struct SubscriptionStore {
-    /// The physical matching engine (counting or sorted).
-    engine: AnyMatchEngine,
-    /// Covering layer, when enabled: the engine then holds one physical
-    /// entry per covering *group* instead of one per subscription.
-    covering: Option<CoveringTable>,
+    /// Row `i` holds subscription `ids[i]`, lapsing at `expires[i]`.
+    ids: Vec<SubId>,
+    expires: Vec<SimTime>,
     /// Records are `Arc`-wrapped so matching hands out handles instead of
-    /// cloning the (constraint-vector-owning) record per hit. This map is
-    /// the *logical* store: `len`/`peak`/expiry always count every
-    /// subscription, grouped or not.
-    meta: HashMap<SubId, Arc<StoredSub>>,
-    /// Min-heap of (expiry, id); entries may be stale (removed ids).
-    expiry: BinaryHeap<Reverse<(SimTime, SubId)>>,
+    /// cloning the (constraint-vector-owning) record per hit.
+    recs: Vec<Arc<StoredSub>>,
+    /// `width` `(lo, hi)` pairs per row, row-major. Empty (`width == 0`)
+    /// when the sorted engine matches instead of the scan.
+    bounds: Vec<(u64, u64)>,
+    width: usize,
+    row_of: HashMap<SubId, u32>,
+    /// No row expires before this instant. Removals may leave it early;
+    /// the next purge then finds nothing and recomputes it.
+    watermark: SimTime,
     peak: usize,
+    /// The match accelerator of [`MatchEngineKind::Sorted`]; `None` scans
+    /// `bounds`.
+    sorted: Option<Box<SortedPath>>,
+}
+
+/// The sorted engine's matching state: a [`SortedIndex`], optionally
+/// behind a covering layer that stores one physical entry per group, plus
+/// the rows' finite expiries in order.
+#[derive(Clone, Debug)]
+struct SortedPath {
+    index: SortedIndex,
+    covering: Option<CoveringTable>,
+    by_expiry: BTreeSet<(SimTime, SubId)>,
     /// Reused id buffer for [`SubscriptionStore::match_event_into`].
     scratch: Vec<SubId>,
 }
 
+impl SortedPath {
+    fn insert(&mut self, id: SubId, sub: &Subscription, expires: SimTime) {
+        self.set_expiry(id, SimTime::MAX, expires);
+        match &mut self.covering {
+            Some(table) => table.insert(&mut self.index, id, sub),
+            None => {
+                self.index.insert(id, sub.clone());
+            }
+        }
+    }
+
+    fn remove(&mut self, id: SubId, sub: &Subscription, expires: SimTime) {
+        self.set_expiry(id, expires, SimTime::MAX);
+        match &mut self.covering {
+            Some(table) => table.remove(&mut self.index, id, sub),
+            None => {
+                self.index.remove(id);
+            }
+        }
+    }
+
+    /// Moves `id` from expiry `old` to `new`; never-expiring rows
+    /// ([`SimTime::MAX`]) are not tracked.
+    fn set_expiry(&mut self, id: SubId, old: SimTime, new: SimTime) {
+        if old != SimTime::MAX {
+            self.by_expiry.remove(&(old, id));
+        }
+        if new != SimTime::MAX {
+            self.by_expiry.insert((new, id));
+        }
+    }
+}
+
 impl SubscriptionStore {
     /// Creates an empty store for subscriptions over `space` with the
-    /// default engine (counting index) and covering enabled.
+    /// default engine (the row scan). Covering is requested but only the
+    /// sorted engine applies it.
     pub fn new(space: &EventSpace) -> Self {
         SubscriptionStore::with_options(space, MatchEngineKind::default(), true)
     }
 
     /// Creates an empty store with an explicit engine kind and covering
-    /// toggle. Both knobs change memory and speed only — never the match
-    /// sets.
+    /// toggle (honoured by [`MatchEngineKind::Sorted`] only). Both knobs
+    /// change memory and speed only — never the match sets.
     pub fn with_options(space: &EventSpace, engine: MatchEngineKind, covering: bool) -> Self {
+        let sorted = (engine == MatchEngineKind::Sorted).then(|| {
+            Box::new(SortedPath {
+                index: SortedIndex::new(space),
+                covering: covering.then(CoveringTable::new),
+                by_expiry: BTreeSet::new(),
+                scratch: Vec::new(),
+            })
+        });
         SubscriptionStore {
-            engine: AnyMatchEngine::new(engine, space),
-            covering: covering.then(CoveringTable::new),
-            meta: HashMap::new(),
-            expiry: BinaryHeap::new(),
+            ids: Vec::new(),
+            expires: Vec::new(),
+            recs: Vec::new(),
+            bounds: Vec::new(),
+            width: if sorted.is_some() { 0 } else { space.dims() },
+            row_of: HashMap::new(),
+            watermark: SimTime::MAX,
             peak: 0,
-            scratch: Vec::new(),
+            sorted,
         }
     }
 
     /// The engine kind this store runs.
     pub fn match_engine(&self) -> MatchEngineKind {
-        self.engine.kind()
+        match self.sorted {
+            Some(_) => MatchEngineKind::Sorted,
+            None => MatchEngineKind::Scan,
+        }
     }
 
     /// Number of live subscriptions (assuming expired ones were purged).
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.ids.len()
     }
 
-    /// Number of entries in the physical matching engine. Equals
-    /// [`SubscriptionStore::len`] without covering; with covering it is
-    /// the number of groups — at most `len()`, far fewer on workloads
-    /// with duplicate or nested subscriptions.
+    /// Number of entries the match engine holds. Equals
+    /// [`SubscriptionStore::len`] except under the sorted engine with
+    /// covering, where it is the number of groups — at most `len()`, far
+    /// fewer on workloads with duplicate or nested subscriptions.
     pub fn physical_len(&self) -> usize {
-        match &self.covering {
-            Some(table) => table.physical_len(),
-            None => self.engine.len(),
+        match self.sorted.as_deref() {
+            Some(SortedPath {
+                covering: Some(table),
+                ..
+            }) => table.physical_len(),
+            _ => self.len(),
         }
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.ids.is_empty()
     }
 
     /// The highest number of simultaneously stored subscriptions observed.
@@ -150,17 +232,17 @@ impl SubscriptionStore {
 
     /// `true` iff `id` is currently stored.
     pub fn contains(&self, id: SubId) -> bool {
-        self.meta.contains_key(&id)
+        self.row_of.contains_key(&id)
     }
 
     /// The stored record under `id`.
     pub fn get(&self, id: SubId) -> Option<&StoredSub> {
-        self.meta.get(&id).map(|rc| &**rc)
+        self.row_of.get(&id).map(|&row| &*self.recs[row as usize])
     }
 
-    /// Iterates over stored records.
+    /// Iterates over stored records in row order.
     pub fn iter(&self) -> impl Iterator<Item = (SubId, &StoredSub)> {
-        self.meta.iter().map(|(&id, s)| (id, &**s))
+        self.ids.iter().copied().zip(self.recs.iter().map(|r| &**r))
     }
 
     /// Inserts (or refreshes) a subscription. Purges expired entries first
@@ -169,24 +251,23 @@ impl SubscriptionStore {
     /// expiry).
     pub fn insert(&mut self, id: SubId, stored: StoredSub, now: SimTime) -> bool {
         self.purge_expired(now);
-        if stored.expires != SimTime::MAX {
-            self.expiry.push(Reverse((stored.expires, id)));
-            self.shrink_expiry_heap();
-        }
-        if let Some(existing) = self.meta.get_mut(&id) {
-            // Refresh: the physical entry is untouched. Clones the record
+        self.watermark = self.watermark.min(stored.expires);
+        if let Some(&row) = self.row_of.get(&id) {
+            // Refresh: the match entry is untouched. Clones the record
             // only if a match handle is still holding it.
-            Arc::make_mut(existing).expires = stored.expires;
+            let row = row as usize;
+            if let Some(path) = &mut self.sorted {
+                path.set_expiry(id, self.expires[row], stored.expires);
+            }
+            self.expires[row] = stored.expires;
+            Arc::make_mut(&mut self.recs[row]).expires = stored.expires;
             return false;
         }
-        match &mut self.covering {
-            Some(table) => table.insert(&mut self.engine, id, &stored.sub),
-            None => {
-                self.engine.insert(id, stored.sub.clone());
-            }
+        if let Some(path) = &mut self.sorted {
+            path.insert(id, &stored.sub, stored.expires);
         }
-        self.meta.insert(id, Arc::new(stored));
-        self.peak = self.peak.max(self.meta.len());
+        self.push_row(id, stored);
+        self.peak = self.peak.max(self.len());
         true
     }
 
@@ -194,47 +275,41 @@ impl SubscriptionStore {
     /// were fresh (not refreshes).
     ///
     /// Behaviourally identical to calling [`SubscriptionStore::insert`]
-    /// per item, but fresh subscriptions go through the covering table's
-    /// sort-based bulk build, which pays the group-search cost once per
-    /// distinct shape instead of once per subscription. Ids already stored
-    /// — or repeated within the batch — fall back to the sequential
-    /// refresh path.
+    /// per item, but under the sorted engine with covering, fresh
+    /// subscriptions go through the covering table's sort-based bulk
+    /// build, which pays the group-search cost once per distinct shape
+    /// instead of once per subscription. Ids already stored — or repeated
+    /// within the batch — fall back to the sequential refresh path.
     pub fn insert_bulk(&mut self, items: Vec<(SubId, StoredSub)>, now: SimTime) -> usize {
         self.purge_expired(now);
-        let mut fresh: Vec<(SubId, StoredSub)> = Vec::with_capacity(items.len());
         let mut seen: HashSet<SubId> = HashSet::with_capacity(items.len());
-        let mut refreshes: Vec<(SubId, StoredSub)> = Vec::new();
-        for (id, stored) in items {
-            if self.meta.contains_key(&id) || !seen.insert(id) {
-                refreshes.push((id, stored));
-            } else {
-                fresh.push((id, stored));
-            }
-        }
-        for (id, stored) in &fresh {
-            if stored.expires != SimTime::MAX {
-                self.expiry.push(Reverse((stored.expires, *id)));
-            }
-        }
-        self.shrink_expiry_heap();
-        match &mut self.covering {
-            Some(table) => {
-                let refs: Vec<(SubId, &Subscription)> =
-                    fresh.iter().map(|(id, s)| (*id, &s.sub)).collect();
-                table.insert_bulk(&mut self.engine, &refs);
-            }
-            None => {
-                for (id, stored) in &fresh {
-                    self.engine.insert(*id, stored.sub.clone());
+        let (fresh, refreshes): (Vec<_>, Vec<_>) = items
+            .into_iter()
+            .partition(|(id, _)| !self.row_of.contains_key(id) && seen.insert(*id));
+        if let Some(path) = self.sorted.as_deref_mut() {
+            match &mut path.covering {
+                Some(table) => {
+                    let refs: Vec<(SubId, &Subscription)> =
+                        fresh.iter().map(|(id, s)| (*id, &s.sub)).collect();
+                    table.insert_bulk(&mut path.index, &refs);
                 }
+                None => {
+                    for (id, stored) in &fresh {
+                        path.index.insert(*id, stored.sub.clone());
+                    }
+                }
+            }
+            for (id, stored) in &fresh {
+                path.set_expiry(*id, SimTime::MAX, stored.expires);
             }
         }
         let inserted = fresh.len();
-        self.meta.reserve(fresh.len());
+        self.reserve(self.len() + inserted);
         for (id, stored) in fresh {
-            self.meta.insert(id, Arc::new(stored));
+            self.watermark = self.watermark.min(stored.expires);
+            self.push_row(id, stored);
         }
-        self.peak = self.peak.max(self.meta.len());
+        self.peak = self.peak.max(self.len());
         for (id, stored) in refreshes {
             self.insert(id, stored, now);
         }
@@ -243,95 +318,78 @@ impl SubscriptionStore {
 
     /// Removes a subscription (unsubscription), returning its record.
     pub fn remove(&mut self, id: SubId) -> Option<StoredSub> {
-        let rc = self.meta.remove(&id)?;
-        match &mut self.covering {
-            Some(table) => table.remove(&mut self.engine, id, &rc.sub),
-            None => {
-                self.engine.remove(id);
-            }
-        }
+        let row = *self.row_of.get(&id)?;
+        let rc = self.remove_row(row as usize);
         Some(Arc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()))
     }
 
     /// Drops every subscription whose expiry has passed. Returns the number
-    /// purged.
+    /// purged. Does nothing until the watermark has passed.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let mut purged = 0;
-        while let Some(&Reverse((expires, id))) = self.expiry.peek() {
-            if expires > now {
-                break;
+        if now < self.watermark {
+            return 0;
+        }
+        let before = self.len();
+        if self.sorted.is_some() {
+            // The sorted engine pops its lapsed rows in expiry order.
+            while let Some((_, id)) = self.first_expiry().filter(|&(expires, _)| expires <= now) {
+                self.remove_row(self.row_of[&id] as usize);
             }
-            self.expiry.pop();
-            // The entry is stale if the sub was removed or re-inserted with
-            // a later expiry.
-            let live = self.meta.get(&id).is_some_and(|s| s.expires <= now);
-            if live {
-                let rc = self.meta.remove(&id).expect("checked above");
-                match &mut self.covering {
-                    Some(table) => table.remove(&mut self.engine, id, &rc.sub),
-                    None => {
-                        self.engine.remove(id);
-                    }
-                }
-                purged += 1;
+            self.watermark = self
+                .first_expiry()
+                .map_or(SimTime::MAX, |(expires, _)| expires);
+            return before - self.len();
+        }
+        let mut next = SimTime::MAX;
+        let mut row = 0;
+        while row < self.len() {
+            let expires = self.expires[row];
+            // Never-expiring rows survive even a purge at `SimTime::MAX`.
+            if expires <= now && expires != SimTime::MAX {
+                self.remove_row(row);
+            } else {
+                next = next.min(expires);
+                row += 1;
             }
         }
-        purged
+        self.watermark = next;
+        before - self.len()
     }
 
-    /// Rebuilds the expiry heap when stale entries dominate. Refreshes and
-    /// removals leave `(expiry, id)` entries behind for ids whose record
-    /// changed or vanished (e.g. lease-refresh loops over covered
-    /// subscriptions); without an occasional sweep the heap would grow
-    /// without bound relative to the live population.
-    fn shrink_expiry_heap(&mut self) {
-        if self.expiry.len() <= 2 * self.meta.len() + 64 {
-            return;
-        }
-        let meta = &self.meta;
-        let mut entries = std::mem::take(&mut self.expiry).into_vec();
-        entries.retain(|&Reverse((t, id))| meta.get(&id).is_some_and(|s| s.expires == t));
-        self.expiry = entries.into();
-    }
-
-    /// Pre-sizes the store for a bulk installation of roughly `subs`
+    /// Pre-sizes the row table for a bulk installation of roughly `subs`
     /// subscriptions, so installation pays one up-front reservation
-    /// instead of incremental growth reallocations. Only order-inert
-    /// containers are reserved (the expiry heap pops by value and the id
-    /// scratch is a plain vector), so stored state and match results are
-    /// byte-identical with or without the call.
+    /// instead of incremental growth reallocations. Rows are appended in
+    /// arrival order whatever the capacity, so stored state and match
+    /// results are byte-identical with or without the call.
     pub fn reserve(&mut self, subs: usize) {
-        if self.expiry.capacity() < subs {
-            self.expiry.reserve(subs - self.expiry.len());
-        }
-        if self.scratch.capacity() < subs {
-            self.scratch.reserve(subs - self.scratch.len());
-        }
+        let extra = subs.saturating_sub(self.len());
+        self.ids.reserve(extra);
+        self.expires.reserve(extra);
+        self.recs.reserve(extra);
+        self.bounds.reserve(extra * self.width);
     }
 
     /// Grows every matching-path scratch buffer to its steady-state bound
-    /// (all of them are capped by the stored-subscription count) so
-    /// subsequent [`SubscriptionStore::match_event_into`] calls never
-    /// reallocate. Matching warms the same buffers incrementally; this
-    /// pre-faults a store that has not matched an event yet.
+    /// so subsequent [`SubscriptionStore::match_event_into`] calls never
+    /// reallocate. The scan keeps no scratch; the sorted engine's is
+    /// capped by its entry count.
     pub fn warm(&mut self) {
-        self.engine.warm();
-        if let Some(table) = &mut self.covering {
-            table.warm();
-        }
-        let need = self.meta.len();
-        if self.scratch.capacity() < need {
-            self.scratch.reserve(need - self.scratch.len());
+        if let Some(path) = self.sorted.as_deref_mut() {
+            if let Some(table) = &mut path.covering {
+                table.warm();
+            }
+            let need = path.index.len();
+            if path.scratch.capacity() < need {
+                path.scratch.reserve(need - path.scratch.len());
+            }
         }
     }
 
     /// Writes all live subscriptions matched by `event` into `out`
-    /// (cleared first). Purges expired entries first. Allocation-free at
-    /// steady state: the id scratch, the engine scratch, and `out` are
-    /// all reused, and each hit costs one `Arc` bump instead of a record
-    /// clone. This is the store's single matching entry point; the
-    /// engines' [`MatchEngine::matches`](crate::MatchEngine::matches)
-    /// wrapper exists for tests and examples.
+    /// (cleared first), in ascending id order. Purges expired entries
+    /// first. Allocation-free at steady state: scratch and `out` are
+    /// reused, and each hit costs one `Arc` bump instead of a record
+    /// clone.
     pub fn match_event_into(
         &mut self,
         event: &Event,
@@ -340,15 +398,102 @@ impl SubscriptionStore {
     ) {
         out.clear();
         self.purge_expired(now);
-        let mut ids = std::mem::take(&mut self.scratch);
-        match &mut self.covering {
-            Some(table) => table.matches_into(&mut self.engine, &self.meta, event, &mut ids),
-            None => self.engine.matches_into(event, &mut ids),
+        let Some(path) = self.sorted.as_deref_mut() else {
+            let (ids, recs, bounds) = (&self.ids, &self.recs, &self.bounds);
+            let values = event.values();
+            let mut hit = |row: usize| out.push((ids[row], Arc::clone(&recs[row])));
+            // A constant width lets the compiler unroll the row test for
+            // the paper's 4-dimension space.
+            match (self.width, values.len()) {
+                (4, 4) => scan_rows(bounds, 4, values, &mut hit),
+                (width, _) => scan_rows(bounds, width, values, &mut hit),
+            }
+            out.sort_unstable_by_key(|&(id, _)| id);
+            return;
+        };
+        let (recs, row_of) = (&self.recs, &self.row_of);
+        let rec = |id: SubId| &recs[row_of[&id] as usize];
+        let mut ids = std::mem::take(&mut path.scratch);
+        match &mut path.covering {
+            Some(table) => table.matches_into(
+                &path.index,
+                event,
+                |id| rec(id).sub.matches(event),
+                &mut ids,
+            ),
+            None => path.index.matches_into(event, &mut ids),
         }
-        for &id in &ids {
-            out.push((id, Arc::clone(&self.meta[&id])));
+        out.extend(ids.iter().map(|&id| (id, Arc::clone(rec(id)))));
+        path.scratch = ids;
+    }
+
+    /// The sorted engine's earliest finite expiry.
+    fn first_expiry(&self) -> Option<(SimTime, SubId)> {
+        self.sorted.as_ref()?.by_expiry.first().copied()
+    }
+
+    /// Appends a fresh row.
+    fn push_row(&mut self, id: SubId, stored: StoredSub) {
+        let row = u32::try_from(self.len()).expect("store rows fit in u32");
+        self.row_of.insert(id, row);
+        if self.width > 0 {
+            debug_assert_eq!(stored.sub.dims(), self.width);
+            self.bounds.extend(
+                stored
+                    .sub
+                    .constraints()
+                    .iter()
+                    .map(|c| c.map_or((0, u64::MAX), |c| (c.lo(), c.hi()))),
+            );
         }
-        self.scratch = ids;
+        self.ids.push(id);
+        self.expires.push(stored.expires);
+        self.recs.push(Arc::new(stored));
+    }
+
+    /// Removes `row` by moving the last row into its place, and returns
+    /// its record.
+    fn remove_row(&mut self, row: usize) -> Arc<StoredSub> {
+        let id = self.ids.swap_remove(row);
+        let expires = self.expires.swap_remove(row);
+        let rec = self.recs.swap_remove(row);
+        self.row_of.remove(&id);
+        let last = self.len();
+        if row < last {
+            *self
+                .row_of
+                .get_mut(&self.ids[row])
+                .expect("every row is mapped") = row as u32;
+        }
+        if self.width > 0 {
+            let w = self.width;
+            self.bounds.copy_within(last * w.., row * w);
+            self.bounds.truncate(last * w);
+        }
+        if let Some(path) = &mut self.sorted {
+            path.remove(id, &rec.sub, expires);
+        }
+        rec
+    }
+}
+
+/// Calls `hit` with every row of `bounds` (`width` pairs per row) that
+/// admits `values`. The row test has no early exit: which dimension
+/// rejects a row is unpredictable, so testing every slot without branches
+/// beats short-circuiting, and `v - lo <= hi - lo` (wrapping) checks
+/// `lo <= v <= hi` in one comparison.
+#[inline(always)]
+fn scan_rows(bounds: &[(u64, u64)], width: usize, values: &[u64], hit: &mut impl FnMut(usize)) {
+    for (row, slots) in bounds.chunks_exact(width).enumerate() {
+        let miss = slots
+            .iter()
+            .zip(values)
+            .fold(false, |miss, (&(lo, hi), &v)| {
+                miss | (v.wrapping_sub(lo) > hi.wrapping_sub(lo))
+            });
+        if !miss {
+            hit(row);
+        }
     }
 }
 
@@ -399,14 +544,15 @@ mod tests {
         assert_eq!(ids, vec![SubId(1)]);
     }
 
-    /// `[50, 60] ⊆ [0, 100]`: with covering the two subscriptions share
-    /// one physical entry, without it they do not — and the logical match
+    /// `[50, 60] ⊆ [0, 100]`: with covering the sorted engine shares one
+    /// physical entry between the two subscriptions, without it (or under
+    /// the scan, which never covers) it does not — and the logical match
     /// sets are identical either way.
     #[test]
     fn covering_shares_physical_entries_without_changing_matches() {
         for (engine, covering, phys) in [
-            (MatchEngineKind::Counting, true, 1),
-            (MatchEngineKind::Counting, false, 2),
+            (MatchEngineKind::Scan, true, 2),
+            (MatchEngineKind::Scan, false, 2),
             (MatchEngineKind::Sorted, true, 1),
             (MatchEngineKind::Sorted, false, 2),
         ] {
@@ -445,7 +591,7 @@ mod tests {
     /// (reverse covering) instead of creating a new physical entry.
     #[test]
     fn reverse_absorption_widens_existing_group() {
-        let mut st = SubscriptionStore::new(&space());
+        let mut st = SubscriptionStore::with_options(&space(), MatchEngineKind::Sorted, true);
         st.insert(SubId(1), stored(50, 60, SimTime::MAX), SimTime::ZERO);
         st.insert(SubId(2), stored(40, 80, SimTime::MAX), SimTime::ZERO);
         assert_eq!(st.physical_len(), 1);
@@ -462,7 +608,7 @@ mod tests {
     /// Covered subscriptions expire independently of their representative.
     #[test]
     fn covered_subscription_expiry_is_independent() {
-        let mut st = SubscriptionStore::new(&space());
+        let mut st = SubscriptionStore::with_options(&space(), MatchEngineKind::Sorted, true);
         st.insert(
             SubId(1),
             stored(0, 100, SimTime::from_secs(10)),
@@ -490,31 +636,54 @@ mod tests {
         assert_eq!(st.peak(), 2);
     }
 
-    /// Lease-refresh loops must not grow the expiry heap without bound:
-    /// stale `(expiry, id)` entries are swept once they dominate.
+    /// Lease-refresh loops rewrite one row in place: the store keeps one
+    /// row, the record reports the latest expiry, and only that expiry
+    /// purges it.
     #[test]
-    fn expiry_heap_sheds_stale_refresh_entries() {
-        let mut st = SubscriptionStore::new(&space());
-        for round in 0..1000u64 {
-            st.insert(
-                SubId(1),
-                stored(0, 10, SimTime::from_secs(1000 + round)),
-                SimTime::ZERO,
-            );
+    fn refresh_loops_keep_one_row() {
+        for engine in [MatchEngineKind::Scan, MatchEngineKind::Sorted] {
+            let mut st = SubscriptionStore::with_options(&space(), engine, true);
+            for round in 0..1000u64 {
+                st.insert(
+                    SubId(1),
+                    stored(0, 10, SimTime::from_secs(1000 + round)),
+                    SimTime::ZERO,
+                );
+            }
+            assert_eq!((st.len(), st.physical_len()), (1, 1));
+            assert_eq!(st.get(SubId(1)).unwrap().expires, SimTime::from_secs(1999));
+            assert_eq!(st.purge_expired(SimTime::from_secs(1500)), 0);
+            assert_eq!(st.len(), 1);
+            assert_eq!(st.purge_expired(SimTime::from_secs(2000)), 1);
+            assert_eq!(st.len(), 0);
         }
-        assert_eq!(st.len(), 1);
-        assert!(
-            st.expiry.len() <= 2 * st.len() + 64,
-            "heap kept {} entries for {} live subs",
-            st.expiry.len(),
-            st.len()
+    }
+
+    /// Removing a middle row moves the last row into its slot: the moved
+    /// subscription must stay reachable by id, by match, and by expiry.
+    #[test]
+    fn swap_remove_relocates_the_last_row() {
+        let mut st = SubscriptionStore::new(&space());
+        st.insert(SubId(1), stored(0, 10, SimTime::MAX), SimTime::ZERO);
+        st.insert(SubId(2), stored(20, 30, SimTime::MAX), SimTime::ZERO);
+        st.insert(
+            SubId(3),
+            stored(40, 50, SimTime::from_secs(9)),
+            SimTime::ZERO,
         );
-        // The surviving entry is the *current* expiry: purging at the old
-        // deadlines drops nothing, at the refreshed one drops the sub.
-        assert_eq!(st.purge_expired(SimTime::from_secs(1500)), 0);
-        assert_eq!(st.len(), 1);
-        assert_eq!(st.purge_expired(SimTime::from_secs(2000)), 1);
-        assert_eq!(st.len(), 0);
+        assert!(st.remove(SubId(1)).is_some());
+        assert_eq!(st.get(SubId(3)).unwrap().expires, SimTime::from_secs(9));
+        let ids: Vec<SubId> = st.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![SubId(3), SubId(2)]);
+        assert_eq!(
+            match_ids(&mut st, &Event::new_unchecked(vec![45]), SimTime::ZERO),
+            vec![SubId(3)]
+        );
+        assert_eq!(st.purge_expired(SimTime::from_secs(9)), 1);
+        assert_eq!(
+            match_ids(&mut st, &Event::new_unchecked(vec![25]), SimTime::MAX),
+            vec![SubId(2)]
+        );
     }
 
     #[test]
@@ -631,7 +800,7 @@ mod tests {
                 return sub;
             }
         };
-        for engine in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
+        for engine in [MatchEngineKind::Scan, MatchEngineKind::Sorted] {
             let mut rng = Rng::seed_from_u64(0xb01d);
             let items: Vec<(SubId, StoredSub)> = (0..600)
                 .map(|i| {

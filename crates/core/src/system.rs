@@ -669,7 +669,7 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
     }
 
     /// Sets the subscription-matching engine every node runs (default:
-    /// the counting index). Both engines deliver identical notification
+    /// the row scan). Both engines deliver identical notification
     /// sets; see [`MatchEngineKind`].
     pub fn match_engine(mut self, engine: MatchEngineKind) -> Self {
         self.net = self.net.with_match_engine(engine);

@@ -57,8 +57,8 @@ fn random_event(rng: &mut Rng, space: &EventSpace) -> Event {
 }
 
 const CONFIGS: [(MatchEngineKind, bool); 4] = [
-    (MatchEngineKind::Counting, false),
-    (MatchEngineKind::Counting, true),
+    (MatchEngineKind::Scan, false),
+    (MatchEngineKind::Scan, true),
     (MatchEngineKind::Sorted, false),
     (MatchEngineKind::Sorted, true),
 ];

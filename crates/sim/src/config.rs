@@ -90,28 +90,29 @@ impl SchedulerKind {
 
 /// Which subscription-matching engine rendezvous nodes run.
 ///
-/// Both engines produce identical match sets — the counting index is the
-/// reference implementation and the sorted index must reproduce it exactly
-/// (see the differential suites in `cbps-core`) — so this knob exists for
-/// A/B benchmarking, mirroring [`SchedulerKind`]. Defined here because
+/// Both engines produce identical match sets — the row scan is the
+/// reference and the sorted index must reproduce it exactly (see the
+/// differential suites in `cbps-core`) — so this knob exists for A/B
+/// benchmarking, mirroring [`SchedulerKind`]. Defined here because
 /// [`NetConfig`] is the single source of deployment-wide knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum MatchEngineKind {
-    /// Counting algorithm over per-dimension bucket lists (Fabret et al.).
-    /// The default and the byte-identical oracle.
+    /// Sequential scan of the store's contiguous row table. The default:
+    /// fastest for the tens to thousands of subscriptions a paper-scale
+    /// rendezvous node holds.
     #[default]
-    Counting,
+    Scan,
     /// Flat struct-of-arrays table, span-class sorted segments, linear
-    /// early-exit scans. Built for 10^5–10^6 subscriptions per node.
+    /// early-exit scans. Built for 10^4–10^6 subscriptions per node.
     Sorted,
 }
 
 impl MatchEngineKind {
-    /// Parses `"counting"` or `"sorted"` (as accepted by the CLI tools).
+    /// Parses `"scan"` or `"sorted"` (as accepted by the CLI tools).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "counting" => Some(MatchEngineKind::Counting),
+            "scan" => Some(MatchEngineKind::Scan),
             "sorted" => Some(MatchEngineKind::Sorted),
             _ => None,
         }
@@ -120,7 +121,7 @@ impl MatchEngineKind {
     /// The name [`MatchEngineKind::parse`] accepts for this variant.
     pub fn name(self) -> &'static str {
         match self {
-            MatchEngineKind::Counting => "counting",
+            MatchEngineKind::Scan => "scan",
             MatchEngineKind::Sorted => "sorted",
         }
     }
@@ -188,8 +189,8 @@ pub struct NetConfig {
     pub loss_probability: f64,
     /// Event-queue implementation (timing wheel by default).
     pub scheduler: SchedulerKind,
-    /// Subscription-matching engine run by rendezvous nodes (counting
-    /// index by default). Purely an implementation knob: both engines
+    /// Subscription-matching engine run by rendezvous nodes (row scan by
+    /// default). Purely an implementation knob: both engines
     /// deliver identical notification sets.
     pub match_engine: MatchEngineKind,
     /// Number of event-loop shards the node universe is partitioned into.
@@ -321,8 +322,8 @@ mod tests {
 
     #[test]
     fn match_engine_kind_parse_roundtrip() {
-        assert_eq!(NetConfig::default().match_engine, MatchEngineKind::Counting);
-        for kind in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
+        assert_eq!(NetConfig::default().match_engine, MatchEngineKind::Scan);
+        for kind in [MatchEngineKind::Scan, MatchEngineKind::Sorted] {
             assert_eq!(MatchEngineKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(MatchEngineKind::parse("bogus"), None);

@@ -1,12 +1,12 @@
 //! End-to-end matching-engine parity: a full pub/sub deployment —
 //! overlay, mappings, notification pipeline, churn — must deliver exactly
 //! the same notifications, count exactly the same messages and process
-//! exactly the same events whether rendezvous nodes match with the
-//! counting index or the sorted index, and whether subscription covering
-//! is on or off. The core-crate differential suite checks the engines on
+//! exactly the same events whether rendezvous nodes match with the row
+//! scan or the sorted index, and whether subscription covering is on or
+//! off. The core-crate differential suite checks the engines on
 //! raw sub/unsub/event streams; this one checks everything layered on
 //! top, including the rendered experiment tables `ci.sh` diffs between
-//! `--match-engine counting` and `--match-engine sorted` on every run.
+//! `--match-engine scan` and `--match-engine sorted` on every run.
 
 use cbps::{MappingKind, MatchEngineKind, NotifyMode, PubSubConfig, PubSubNetwork, SubId};
 use cbps_sim::{SimDuration, TrafficClass};
@@ -72,9 +72,9 @@ fn run_digest(engine: MatchEngineKind, covering: bool, seed: u64) -> String {
 #[test]
 fn pubsub_deployment_is_match_engine_independent() {
     for seed in [3u64, 17] {
-        let baseline = run_digest(MatchEngineKind::Counting, true, seed);
+        let baseline = run_digest(MatchEngineKind::Scan, true, seed);
         for (engine, covering) in [
-            (MatchEngineKind::Counting, false),
+            (MatchEngineKind::Scan, false),
             (MatchEngineKind::Sorted, true),
             (MatchEngineKind::Sorted, false),
         ] {
@@ -82,7 +82,7 @@ fn pubsub_deployment_is_match_engine_independent() {
             assert_eq!(
                 baseline, other,
                 "seed {seed}: {engine:?} engine (covering {covering}) diverged \
-                 from the counting baseline"
+                 from the scan baseline"
             );
         }
         // Guard against a degenerate workload that compared nothing.
@@ -105,8 +105,8 @@ fn experiment_tables_are_match_engine_independent() {
         let out: Vec<String> = tables.iter().map(|t| t.render()).collect();
         out.join("\n")
     };
-    let counting = render(MatchEngineKind::Counting);
+    let scan = render(MatchEngineKind::Scan);
     let sorted = render(MatchEngineKind::Sorted);
-    cbps_bench::runner::set_match_engine(MatchEngineKind::Counting);
-    assert_eq!(counting, sorted, "fig5 tables differ between match engines");
+    cbps_bench::runner::set_match_engine(MatchEngineKind::Scan);
+    assert_eq!(scan, sorted, "fig5 tables differ between match engines");
 }

@@ -77,7 +77,7 @@ fn run_report(kind: SchedulerKind, seed: u64) -> String {
         // difference between the two runs, so it stays out of the diff.
         scheduler: "under-test".to_owned(),
         shards: 1,
-        match_engine: "counting".to_owned(),
+        match_engine: "scan".to_owned(),
         rendezvous: "static".to_owned(),
         overlay: "chord".to_owned(),
         experiments: vec![ExperimentReport {
